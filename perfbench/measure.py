@@ -10,6 +10,7 @@ of the two halves' throughput is ``trace.overhead_ratio``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -210,7 +211,7 @@ def _traced_run(workload: Workload, config: dict, seed: int, seconds: float, rig
     finally:
         tracer.unpatch()
     spans = tracer.take()
-    tracer.write(trace_path, setup_spans + spans)
+    tracer.write(trace_path, itertools.chain(setup_spans, spans))
 
     names = tracing.summarize(spans)
     layers: dict[str, dict[str, float]] = {}
