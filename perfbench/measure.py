@@ -85,10 +85,12 @@ IN_PROCESS_ONLY = (
     "world.fork_ms_per_job",
 )
 
+#: Per-layer metrics read from the executor's ``SnapshotStore``: they read
+#: 0 where the executor keeps none (every workload but ``serve``).
+STORE_ONLY = ("kernel.store.hits", "kernel.store.misses")
 
 
-
-def measure(workload: Workload, config: dict, seed: int, seconds: float,
+def measure(workload: Workload, seed: int, seconds: float,
             trace: bool, workdir: Path, trace_path: Path) -> tuple[dict, dict]:
     """Run ``workload`` once; returns (result line, run details)."""
     tracer = tracing.Tracer() if trace else None
@@ -96,7 +98,7 @@ def measure(workload: Workload, config: dict, seed: int, seconds: float,
     setups: list[Rig] = []
     rig = None
     try:
-        for repeat in range(workload.own["setup_repeats"]):
+        for repeat in range(workload.setup_repeats):
             if rig is not None:
                 rig.close()
                 rig = None
@@ -118,9 +120,8 @@ def measure(workload: Workload, config: dict, seed: int, seconds: float,
                     tracer.unpatch()
             setups.append(rig)
         if tracer is not None:
-            return _traced_run(workload, config, seed, seconds, rig, setups, tracer,
-                               trace_path)
-        return _untraced_run(workload, config, seed, seconds, rig, setups)
+            return _traced_run(workload, seed, seconds, rig, setups, tracer, trace_path)
+        return _untraced_run(workload, seed, seconds, rig, setups)
     finally:
         if rig is not None:
             rig.close()
@@ -134,7 +135,7 @@ def measure(workload: Workload, config: dict, seed: int, seconds: float,
 OPEN_LOOP_SHARE = 1 / 3
 
 
-def _untraced_run(workload: Workload, config: dict, seed: int, seconds: float,
+def _untraced_run(workload: Workload, seed: int, seconds: float,
                   rig: Rig, setups: list[Rig]) -> tuple[dict, dict]:
     reference = rig.reference
     closed_s = seconds * (1 - OPEN_LOOP_SHARE) if workload.open_loop else seconds
@@ -143,7 +144,7 @@ def _untraced_run(workload: Workload, config: dict, seed: int, seconds: float,
                          rotate_cpus=workload.in_process)
     phases = [closed]
     if workload.open_loop:
-        rate = config["serve"]["offered_rate_per_s"]
+        rate = workload.offered_rate_per_s
         opened = open_loop(rig.executor, JobStream(workload.body, workload.user, seed, "o"),
                            reference,
                            schedule=poisson_schedule(seed, rate, seconds * OPEN_LOOP_SHARE))
@@ -179,7 +180,7 @@ def _untraced_run(workload: Workload, config: dict, seed: int, seconds: float,
     return _result(tally, setups, END_TO_END, metrics), details
 
 
-def _traced_run(workload: Workload, config: dict, seed: int, seconds: float, rig: Rig,
+def _traced_run(workload: Workload, seed: int, seconds: float, rig: Rig,
                 setups: list[Rig], tracer: tracing.Tracer,
                 trace_path: Path) -> tuple[dict, dict]:
     reference = rig.reference
@@ -293,7 +294,8 @@ def _traced_run(workload: Workload, config: dict, seed: int, seconds: float, rig
     details["trace"] = {
         "file": str(trace_path.name), "spans": len(spans), "setup_spans": len(setup_spans),
         "untraced_jobs_per_s": untraced.jobs_per_s, "traced_jobs_per_s": traced.jobs_per_s,
-        "unobservable": [] if workload.in_process else list(IN_PROCESS_ONLY),
+        "unobservable": ([] if workload.in_process else list(IN_PROCESS_ONLY))
+                        + (list(STORE_ONLY) if store is None else []),
         "layers_self_ms_per_job": {layer: 1000 * row["self_s"] / jobs
                                    for layer, row in sorted(layers.items())},
     }
@@ -329,6 +331,10 @@ def _cache_hits(events: list[dict]) -> int:
     return sum(1 for event in events if event.get("event") == "cache_hit")
 
 
+def _busy(events: list[dict]) -> int:
+    return sum(1 for event in events if event.get("event") == "busy")
+
+
 def _agent_intervals_ms(events: list[dict]) -> dict[str, float]:
     """Job name -> milliseconds from the gateway's dispatch to the
     agent's result, from the gateway log's millisecond timestamps."""
@@ -353,19 +359,24 @@ def _details(setups: list[Rig], rig: Rig, phases: list[Phase], events: list[dict
         "warmup": {"submitted": rig.warmup.submitted, "faults": dict(rig.warmup.faults)},
         "reference_ops": rig.reference.ops,
         "batch_cache_hits": rig.batch_cache_hits,
-        "gateway": {"busy": sum(1 for e in events if e.get("event") == "busy"),
+        "gateway": {"busy": _busy(events),
                     "cache_hits": _cache_hits(events)} if rig.log_path else None,
     }
 
 
 def _result(tally: Tally, setups: list[Rig], table: tuple, metrics: dict) -> dict:
     """The result line.  A run is correct only if every job passed its
-    check and no cache answered any job (like-for-like)."""
+    check, no cache answered any job (like-for-like) and the gateway
+    refused nothing (its admission sits above the offered load, so a
+    BUSY reply is a regression even when the retry succeeded)."""
     warm_faults = sum(setup.warmup.failed for setup in setups)
-    cached = sum(setup.batch_cache_hits + _cache_hits(_gateway_events(setup))
-                 for setup in setups)
+    cached = busy = 0
+    for setup in setups:
+        events = _gateway_events(setup)
+        cached += setup.batch_cache_hits + _cache_hits(events)
+        busy += _busy(events)
     return {
-        "correct": tally.failed == 0 and warm_faults == 0 and cached == 0,
+        "correct": tally.failed == 0 and warm_faults == 0 and cached == 0 and busy == 0,
         "attempted": tally.submitted,
         "failed": tally.failed,
         "metrics": {name: {"value": metrics[name], "unit": unit}

@@ -57,27 +57,20 @@ def process_cpu(pid: int) -> tuple[float, float, float, float]:
     return tuple(int(v) / _TICK for v in fields[11:15])  # type: ignore[return-value]
 
 
-def tree_cpu(root: "int | None" = None) -> dict[str, float]:
-    """User and system CPU seconds of ``root`` (this process by default)
-    and of everything it started, split into ``self_*`` and
-    ``children_*``.  Children are the live descendants plus the reaped
-    ones, so a worker that exits mid-measurement still counts.
+def tree_cpu() -> dict[str, float]:
+    """User and system CPU seconds of this process and of everything it
+    started, split into ``self_*`` and ``children_*``.  Children are the
+    live descendants plus the reaped ones, so a worker that exits
+    mid-measurement still counts.
 
     This process is read through ``getrusage`` (microsecond resolution);
     descendants through ``/proc`` (clock-tick resolution).
     """
-    me = os.getpid()
-    root = me if root is None else root
-    if root == me:
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
-        out = {"self_user": usage.ru_utime, "self_sys": usage.ru_stime,
-               "children_user": reaped.ru_utime, "children_sys": reaped.ru_stime}
-    else:
-        user, sys_, reaped_user, reaped_sys = process_cpu(root)
-        out = {"self_user": user, "self_sys": sys_,
-               "children_user": reaped_user, "children_sys": reaped_sys}
-    for pid in descendants(root):
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = {"self_user": usage.ru_utime, "self_sys": usage.ru_stime,
+           "children_user": reaped.ru_utime, "children_sys": reaped.ru_stime}
+    for pid in descendants(os.getpid()):
         user, sys_, reaped_user, reaped_sys = process_cpu(pid)
         # A descendant's own reaped children are themselves descendants
         # that have gone; their time is in its cutime/cstime.
@@ -102,7 +95,8 @@ def peak_rss_kib(pid: int) -> int:
     return 0
 
 
-def tree_peak_rss_kib(root: "int | None" = None) -> int:
-    """Sum of the peak resident sets of ``root`` and its descendants."""
-    root = os.getpid() if root is None else root
-    return peak_rss_kib(root) + sum(peak_rss_kib(pid) for pid in descendants(root))
+def tree_peak_rss_kib() -> int:
+    """Sum of the peak resident sets of this process and its live
+    descendants."""
+    me = os.getpid()
+    return peak_rss_kib(me) + sum(peak_rss_kib(pid) for pid in descendants(me))

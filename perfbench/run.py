@@ -25,8 +25,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-CONFIG = HERE / "config.json"
 OUT = ROOT / ".perfbench_out"
+
 
 class BenchError(RuntimeError):
     """The benchmark cannot run here (no program source, under pytest)."""
@@ -45,7 +45,7 @@ def _load_program() -> None:
         raise BenchError(f"repro was imported from {repro.__file__}, not {src}")
 
 
-def conditions(args: argparse.Namespace, config: dict) -> dict:
+def conditions(args: argparse.Namespace, settings: dict) -> dict:
     """What the numbers depend on besides the code."""
     return {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
@@ -54,7 +54,7 @@ def conditions(args: argparse.Namespace, config: dict) -> dict:
         "start_method": multiprocessing.get_start_method(),
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
         "loadavg": list(os.getloadavg()),
-        "config": config,
+        "settings": settings,
     }
 
 
@@ -85,14 +85,13 @@ def main(argv: "list[str] | None" = None) -> int:
     from perfbench.measure import measure
     from perfbench.workloads import WORKLOADS
 
-    config = json.loads(CONFIG.read_text())
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
-    workload = WORKLOADS[args.workload](config)
-    info = conditions(args, config)
+    workload = WORKLOADS[args.workload]()
+    info = conditions(args, workload.settings())
     workdir = OUT / f"work-{args.workload}-{args.seed}-{os.getpid()}"
     try:
-        result, details = measure(workload, config, args.seed, args.seconds,
+        result, details = measure(workload, args.seed, args.seconds,
                                   bool(args.trace), workdir,
                                   OUT / f"trace-{args.workload}-{args.seed}.jsonl.gz")
     finally:

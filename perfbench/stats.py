@@ -14,15 +14,15 @@ from typing import Sequence
 TAIL_SAMPLES = 10
 
 
-def tail_percentile(n: int, wanted: int = 90) -> int:
-    """The highest whole percentile, at most ``wanted``, that leaves at
+def tail_percentile(n: int) -> int:
+    """The highest whole percentile, at most 90, that leaves at
     least :data:`TAIL_SAMPLES` of ``n`` samples beyond it (90 for 100 or
     more samples, 80 for 50, and so on).  Raises ``ValueError`` when
     ``n`` is too small for any percentile to qualify."""
     if n <= TAIL_SAMPLES:
         raise ValueError(f"{n} samples leave no percentile with "
                          f"{TAIL_SAMPLES} beyond it")
-    return min(wanted, math.floor(100 * (n - TAIL_SAMPLES) / n))
+    return min(90, math.floor(100 * (n - TAIL_SAMPLES) / n))
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -37,9 +37,9 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return ordered[rank - 1]
 
 
-def tail(values: Sequence[float], wanted: int = 90) -> tuple[float, int]:
+def tail(values: Sequence[float]) -> tuple[float, int]:
     """``(value, percentile)`` of the reportable tail percentile."""
-    pct = tail_percentile(len(values), wanted)
+    pct = tail_percentile(len(values))
     return percentile(values, pct), pct
 
 

@@ -21,7 +21,7 @@ for _path in (str(ROOT / "src"), str(ROOT)):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from perfbench import loadgen, procfs, spans, stats  # noqa: E402
+from perfbench import loadgen, measure, procfs, spans, stats  # noqa: E402
 from perfbench.check import Reference, Tally, job_source  # noqa: E402
 from perfbench.measure import END_TO_END, PER_LAYER  # noqa: E402
 
@@ -232,6 +232,28 @@ def test_closed_loop_counts_a_missing_result_and_keeps_going(monkeypatch):
     assert phase.tally.faults["missing"] == 1
     assert phase.tally.passed == phase.tally.submitted - 1 > 3
     assert phase.received == phase.tally.submitted - 1
+
+
+# -- like-for-like guards ----------------------------------------------------
+
+
+def _setup_with_log(tmp_path, *events):
+    log = tmp_path / "gateway.jsonl"
+    log.write_text("".join(json.dumps(event) + "\n" for event in events))
+    return SimpleNamespace(log_path=log, warmup=Tally(), batch_cache_hits=0)
+
+
+@pytest.mark.parametrize("event, correct", [
+    ({"event": "dispatch", "name": "a1", "ts": 1.0}, True),
+    ({"event": "busy", "name": "a1", "ts": 1.0}, False),
+    ({"event": "cache_hit", "name": "a1", "ts": 1.0}, False),
+])
+def test_a_busy_reply_or_cache_hit_makes_the_run_incorrect(tmp_path, event, correct):
+    tally = Tally(submitted=1, passed=1)
+    result = measure._result(tally, [_setup_with_log(tmp_path, event)], END_TO_END,
+                             {name: 1.0 for name, _u, _b in END_TO_END})
+    assert result["correct"] is correct
+    assert (result["attempted"], result["failed"]) == (1, 0)
 
 
 # -- the benchmark description matches what the command reports --------------

@@ -74,12 +74,34 @@ def stop(procs: list) -> None:
             proc.wait(timeout=10)
 
 
+#: The size of the ``usr_src`` world: that of ``repro.bench.SCALE``
+#: (``src_subsystems``, ``src_files_per_dir``), written out rather than
+#: imported.  Importing ``repro.bench`` loads its statistics stack (about
+#: 80 MB), which tripled the benchmark's peak RSS and halved ``fanout``'s
+#: throughput, whose pool workers fork from this process.  Frozen here,
+#: the world also stays the same if the paper figures are rescaled.
+USR_SRC_SUBSYSTEMS = 6
+USR_SRC_FILES_PER_DIR = 12
+
+#: Pool workers or channels of the parallel workloads: the CPUs of the
+#: 2-core hosts the benchmark was built on.
+WORKERS = 2
+
+#: The workload constants recorded with each result.
+SETTINGS = ("window", "setup_repeats", "warmup_jobs", "passes", "offered_rate_per_s",
+            "gateway")
+
+
 class Workload:
     """One job shape, one world, one executor."""
 
     name = ""
     #: Jobs the closed loop keeps in flight.
     window = 1
+    #: Set-ups per run; ``setup_s`` is their median.
+    setup_repeats = 12
+    #: Jobs run after the reference job, inside set-up.
+    warmup_jobs = 3
     #: Whether jobs run in this process, where every layer can be wrapped.
     in_process = True
     #: Whether a seeded open loop follows the closed loop; its latencies
@@ -87,17 +109,20 @@ class Workload:
     open_loop = False
     user: "str | None" = None
 
-    def __init__(self, config: dict) -> None:
-        self.config = config
-        self.own = config["workloads"][self.name]
+    def __init__(self) -> None:
         self.scripts: dict = {}
         #: The job script; each job appends its own marker line.
         self.body = ""
 
+    def settings(self) -> dict:
+        """The constants this workload runs with, for the run details."""
+        return {name: getattr(self, name) for name in SETTINGS if hasattr(self, name)}
+
     def world(self):
         from repro.casestudies.findgrep import usr_src_world
 
-        return usr_src_world(True, **self.config["usr_src"])
+        return usr_src_world(True, subsystems=USR_SRC_SUBSYSTEMS,
+                             files_per_dir=USR_SRC_FILES_PER_DIR)
 
     def start(self, workdir: Path) -> Rig:
         """A fresh executor (and any processes behind it)."""
@@ -108,21 +133,23 @@ class Workload:
 
 class Walk(Workload):
     name = "walk"
+    #: Walks of /usr/src per job.
+    passes = 4
 
-    def __init__(self, config: dict) -> None:
-        super().__init__(config)
+    def __init__(self) -> None:
+        super().__init__()
         self.scripts = {"walk.cap": WALK_CAP}
-        self.body = walk_body(self.own["passes"])
+        self.body = walk_body(self.passes)
 
 
 class Install(Workload):
     name = "install"
     user = "root"
 
-    def __init__(self, config: dict) -> None:
+    def __init__(self) -> None:
         from repro.casestudies import package_mgmt
 
-        super().__init__(config)
+        super().__init__()
         self.scripts = dict(package_mgmt.SCRIPTS)
         # The directories the case study's PackageManager works in.
         dirs = {f.name: f.default for f in fields(package_mgmt.PackageManager)}
@@ -138,10 +165,9 @@ class Install(Workload):
 class Fanout(Walk):
     name = "fanout"
     in_process = False
-
-    def __init__(self, config: dict) -> None:
-        super().__init__(config)
-        self.window = config["workers"]
+    window = WORKERS
+    passes = 1
+    warmup_jobs = 8
 
     def start(self, workdir: Path) -> Rig:
         from repro.api import ProcessExecutor
@@ -153,12 +179,22 @@ class Serve(Workload):
     name = "serve"
     in_process = False
     open_loop = True
+    window = WORKERS
+    warmup_jobs = 40
+    #: Jobs per second the open loop offers: about a third of the
+    #: closed loop's capacity on the hosts the benchmark was built on.
+    offered_rate_per_s = 180
+    #: ``spawn_local_gateway`` settings.  Admission (rate, burst,
+    #: max-pending) sits far above what WORKERS channels can offer, so
+    #: any BUSY reply is a regression; the result cache is off so that
+    #: no job is answered without running.
+    gateway = {"rate": 20000, "burst": 20000, "max_pending": 64,
+               "concurrency": WORKERS, "result_cache": 0}
 
-    def __init__(self, config: dict) -> None:
+    def __init__(self) -> None:
         from repro.casestudies.findgrep import PROBE_AMBIENT
 
-        super().__init__(config)
-        self.window = config["workers"]
+        super().__init__()
         self.body = PROBE_AMBIENT
 
     def start(self, workdir: Path) -> Rig:
@@ -171,7 +207,7 @@ class Serve(Workload):
         try:
             gateway_proc, gateway = spawn_local_gateway(
                 workdir / "gateway", request_log=log_path,
-                **self.config["serve"]["gateway"])
+                **self.gateway)
             procs.append(gateway_proc)
             agent_proc, _address = spawn_local_agent(workdir / "agent", announce=gateway)
             # The agent stops first, so the gateway sees it retire.
@@ -211,7 +247,7 @@ def set_up(workload: Workload, workdir: Path) -> Rig:
         rig.prepare_s = wall - results[0].profile["startup"] - results[0].profile["total"]
 
         warm = Batch(world, scripts=workload.scripts, cache=False)
-        count = workload.own["warmup_jobs"]
+        count = workload.warmup_jobs
         for index in range(count):
             tag = f"warm{index}"
             warm.add(job_source(workload.body, tag), user=workload.user, name=tag)
