@@ -537,8 +537,15 @@ class Executor:
         else:
             pending = list(handles)
             self._consume(pending)
-        done = [h for h in pending if h.done()]
-        waiting = {h._future: h for h in pending if not h.done()}
+        # One done() snapshot per handle: a handle that finishes between
+        # two separate snapshots would land in neither list and be lost.
+        done: list[JobHandle] = []
+        waiting: dict[Future, JobHandle] = {}
+        for handle in pending:
+            if handle.done():
+                done.append(handle)
+            else:
+                waiting[handle._future] = handle
         yield from done
         for future in _futures_as_completed(waiting, timeout=timeout):
             yield waiting[future]

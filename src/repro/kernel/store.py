@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import secrets
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -103,6 +105,7 @@ class SnapshotStore:
         self._blobs.mkdir(parents=True, exist_ok=True)
         self._worlds.mkdir(parents=True, exist_ok=True)
         self.stats = {"hits": 0, "misses": 0, "writes": 0, "evictions": 0}
+        self._stats_lock = threading.Lock()
 
     # -- blobs -------------------------------------------------------------
 
@@ -125,7 +128,7 @@ class SnapshotStore:
             self._touch(path)
             return digest
         self._atomic_write(path, payload)
-        self.stats["writes"] += 1
+        self._count("writes")
         self._evict()
         return digest
 
@@ -135,9 +138,9 @@ class SnapshotStore:
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
-            self.stats["misses"] += 1
+            self._count("misses")
             return None
-        self.stats["hits"] += 1
+        self._count("hits")
         self._touch(path)
         return payload
 
@@ -228,18 +231,18 @@ class SnapshotStore:
         try:
             record = pickle.loads(path.read_bytes())
         except FileNotFoundError:
-            self.stats["misses"] += 1
+            self._count("misses")
             return None
         except Exception:
             # A torn/corrupt link is a cache miss, never an error: the
             # caller rebuilds and re-links over it.
-            self.stats["misses"] += 1
+            self._count("misses")
             return None
         snapshot = record["snapshot"]
         if not self.has(snapshot):
-            self.stats["misses"] += 1
+            self._count("misses")
             return None
-        self.stats["hits"] += 1
+        self._count("hits")
         return snapshot, record["meta"]
 
     def world_links(self) -> dict[str, str]:
@@ -264,7 +267,10 @@ class SnapshotStore:
         out = []
         for path in self._blob_paths_stalest_first():
             digest = path.name[: -len(_BLOB_SUFFIX)]
-            stat = path.stat()
+            try:
+                stat = path.stat()
+            except FileNotFoundError:
+                continue
             out.append(StoreEntry(digest, stat.st_size, stat.st_mtime,
                                   tuple(sorted(by_blob.get(digest, ())))))
         return out
@@ -292,11 +298,24 @@ class SnapshotStore:
 
     # -- plumbing ----------------------------------------------------------
 
+    def _count(self, key: str) -> None:
+        with self._stats_lock:
+            self.stats[key] += 1
+
     def _blob_paths_stalest_first(self) -> list[Path]:
-        paths = list(self._blobs.glob(f"*{_BLOB_SUFFIX}"))
-        # mtime first, digest as the deterministic tie-break (filesystem
-        # timestamps are coarse enough for same-second writes to tie).
-        return sorted(paths, key=lambda p: (p.stat().st_mtime, p.name))
+        """Every blob, stalest first.  A blob another thread or process
+        unlinks between the listing and its ``stat`` is left out."""
+        aged: list[tuple[float, str, Path]] = []
+        for path in self._blobs.glob(f"*{_BLOB_SUFFIX}"):
+            try:
+                mtime = path.stat().st_mtime
+            except FileNotFoundError:
+                continue
+            # mtime first, digest as the deterministic tie-break (filesystem
+            # timestamps are coarse enough for same-second writes to tie).
+            aged.append((mtime, path.name, path))
+        aged.sort(key=lambda entry: entry[:2])
+        return [path for _, _, path in aged]
 
     def _evict(self, limit: "int | None" = None) -> list[str]:
         """Drop stalest blobs over ``limit`` — but never a blob some
@@ -318,9 +337,12 @@ class SnapshotStore:
                  if p.name[: -len(_BLOB_SUFFIX)] not in pinned), None)
             if victim is None:
                 break
-            victim.unlink(missing_ok=True)
+            try:
+                victim.unlink()
+            except FileNotFoundError:
+                continue        # another thread or process evicted it first
             evicted.append(victim.name[: -len(_BLOB_SUFFIX)])
-            self.stats["evictions"] += 1
+            self._count("evictions")
         return evicted
 
     def _chain_bases(self, paths: "list[Path]") -> set[str]:
@@ -348,9 +370,16 @@ class SnapshotStore:
         return pinned
 
     def _atomic_write(self, path: Path, payload: bytes) -> None:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        # Unique per write, not per process: two threads writing the same
+        # blob or link must never share (and rename away) one temp file.
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.{secrets.token_hex(4)}.tmp")
+        try:
+            tmp.write_bytes(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def _touch(path: Path) -> None:

@@ -192,6 +192,36 @@ class TestStreaming:
         for i in range(4):
             assert by_name[f"j{i}"].fingerprint() == expected[i].fingerprint()
 
+    def test_as_completed_loses_no_handle_finishing_mid_drain(self):
+        # Futures complete on another thread while as_completed sorts
+        # 50,000 handles into finished and waiting; each must come out
+        # exactly once.
+        import threading
+        from concurrent.futures import Future
+
+        from repro.api.executors import JobHandle
+
+        futures = [Future() for _ in range(50_000)]
+        handles = [JobHandle(ExecutorJob(index=i, name=f"j{i}"), future)
+                   for i, future in enumerate(futures)]
+        for future in futures[::3]:
+            future.set_result(None)
+        started = threading.Event()
+
+        def finish() -> None:
+            started.wait()
+            for future in futures:
+                if not future.done():
+                    future.set_result(None)
+
+        finisher = threading.Thread(target=finish)
+        finisher.start()
+        drained = SequentialExecutor().as_completed(handles, timeout=60)
+        started.set()
+        seen = list(drained)
+        finisher.join()
+        assert sorted(h.index for h in seen) == list(range(50_000))
+
     def test_as_completed_serves_cache_hits_first(self):
         Batch(_jpeg_world()).add(WALK_AMBIENT).run()
         batch = Batch(_jpeg_world()).add(HELLO_AMBIENT, name="fresh") \

@@ -255,3 +255,49 @@ class TestInspection:
         assert default_store_root() == tmp_path / "envstore"
         store = SnapshotStore()
         assert store.root == tmp_path / "envstore"
+
+
+class TestThreads:
+    """One store shared by threads, as ThreadExecutor and the gateway
+    share theirs: racing writers of one world or blob, eviction under
+    concurrent unlinks, and counters that add up."""
+
+    THREADS = 4
+    ROUNDS = 60
+
+    def _hammer(self, store: SnapshotStore, worker: int, errors: list) -> None:
+        try:
+            for i in range(self.ROUNDS):
+                shared = store.put(b"shared-%d" % (i % 3))
+                store.link_world("world-%d" % (i % 2), shared, {"round": i})
+                own = store.put(b"own-%d-%d" % (worker, i))
+                store.get(own)
+                store.get(shared)
+                store.resolve_world("world-%d" % (i % 2))
+                store.entries()
+                if i % 10 == 0:
+                    store.gc()
+        except BaseException as err:        # reported on the main thread
+            errors.append(err)
+
+    def test_racing_threads_never_collide(self, tmp_path):
+        import threading
+
+        store = SnapshotStore(tmp_path / "store", max_blobs=3)
+        errors: list = []
+        threads = [threading.Thread(target=self._hammer, args=(store, n, errors))
+                   for n in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert list(store.root.rglob("*.tmp")) == []
+        lookups = self.THREADS * self.ROUNDS * 3   # two gets + one resolve per round
+        assert store.stats["hits"] + store.stats["misses"] == lookups
+        # Every own blob is new; racing writers of a shared blob may both write.
+        assert store.stats["writes"] >= self.THREADS * self.ROUNDS
+        # Each unlink is counted once, by the thread that made it.
+        assert 0 < store.stats["evictions"] <= store.stats["writes"]
+        # Every write is followed by its writer's eviction pass.
+        assert len(store) <= 3
