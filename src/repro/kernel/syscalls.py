@@ -193,8 +193,7 @@ class SyscallInterface:
                 dvp, name, vp = hit
                 if vp is not None and name != "." and name != "..":
                     # Same name-cache effect the final lookup would have.
-                    vp.nc_parent = dvp
-                    vp.nc_name = name
+                    kernel.vfs.note_name(vp, dvp, name)
                 return dvp, name, vp
         result = self._resolve_walk(path, follow=follow, want_parent=want_parent, _depth=_depth)
         if cache_key is not None and result[2] is not None:

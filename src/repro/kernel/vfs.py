@@ -270,6 +270,11 @@ class VFS:
         self.dcache_enabled = True
         self._dcache: dict[tuple[int, str], Vnode] = {}
         self._dcache_gen = self._generation
+        # path_of memo: vnode → its path, valid while the generation
+        # matches and no name-cache backpointer or lazily shared entry
+        # has changed since (those clear it; see _note_name).
+        self._paths: dict[Vnode, str] = {}
+        self._paths_gen = self._generation
         # Lazy-fork state (populated on clones made by fork()):
         # vid → this tree's private clone of a template vnode, plus the
         # vid watermark at fork time (vids below it that are not in the
@@ -319,8 +324,7 @@ class VFS:
                 if self.stats is not None:
                     self.stats.dcache_hits += 1
                 # A hit has the same name-cache effect a walk would.
-                cached.nc_parent = dvp
-                cached.nc_name = name
+                self.note_name(cached, dvp, name)
                 return cached
         self._vop("lookup")
         if not dvp.is_dir:
@@ -337,13 +341,22 @@ class VFS:
         if dvp.entries_lazy:
             vp = self._materialize_child(dvp, name, vp)
         # Refresh the name cache on every successful lookup.
-        vp.nc_parent = dvp
-        vp.nc_name = name
+        self.note_name(vp, dvp, name)
         if cacheable:
             if self.stats is not None:
                 self.stats.dcache_misses += 1
             self._dcache[(dvp.vid, name)] = vp
         return vp
+
+    def note_name(self, vp: Vnode, dvp: Vnode, name: str) -> None:
+        """Point ``vp``'s name-cache backpointer at ``dvp``/``name``.  A
+        change (a hard link reached by its other name, a directory reached
+        by another path) moves the paths of ``vp`` and everything under
+        it, so the path_of memo is dropped."""
+        if vp.nc_parent is not dvp or vp.nc_name != name:
+            vp.nc_parent = dvp
+            vp.nc_name = name
+            self._paths.clear()
 
     def exists(self, dvp: Vnode, name: str) -> bool:
         return bool(dvp.is_dir and dvp.entries is not None and name in dvp.entries)
@@ -507,6 +520,16 @@ class VFS:
         """
         if vp is self.root:
             return "/"
+        if self._paths_gen != self._generation:
+            self._paths.clear()
+            self._paths_gen = self._generation
+        path = self._paths.get(vp)
+        if path is None:
+            path = self._paths[vp] = self._walk_path(vp)
+        return path
+
+    def _walk_path(self, vp: Vnode) -> str:
+        """:meth:`path_of` without the memo."""
         parts: list[str] = []
         node = vp
         seen: set[int] = set()
@@ -681,6 +704,9 @@ class VFS:
             new.nc_name = name
         assert dvp.entries is not None
         dvp.entries[name] = new
+        # The template vnode no longer answers for this entry: a memoized
+        # path through it would now fail the liveness check.
+        self._paths.clear()
         return new
 
     def _materialize_all(self) -> None:

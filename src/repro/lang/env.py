@@ -22,8 +22,12 @@ _MISSING = object()
 class Env:
     __slots__ = ("_frame", "_parent")
 
-    def __init__(self, parent: Optional["Env"] = None) -> None:
-        self._frame: dict[str, Any] = {}
+    def __init__(self, parent: Optional["Env"] = None,
+                 frame: Optional[dict[str, Any]] = None) -> None:
+        # ``frame``: the new frame's first bindings (distinct names, such
+        # as a call's parameters).  The compiler in repro.lang.interp
+        # reads ``_frame`` and ``_parent`` directly at depths it fixed.
+        self._frame: dict[str, Any] = {} if frame is None else frame
         self._parent = parent
 
     def child(self) -> "Env":

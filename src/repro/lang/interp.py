@@ -1,16 +1,31 @@
-"""The capability-safe evaluator.
+"""The capability-safe evaluator: a compiler from the AST to Python closures.
 
-A small strict evaluator with no mutable variables and no ambient
+A small strict language with no mutable variables and no ambient
 authority: every resource the script touches arrives as a capability
-argument or is derived from one.  The evaluator also owns **value
-application** — closures, builtins, and contract-guarded functions all
-funnel through :meth:`Interp.apply`, which is where function contracts
-interpose.
+argument or is derived from one.
+
+Each statement and expression is compiled once into a closure
+``code(env)``; running a script is calling closures, never dispatching
+on node types.  Compiled code holds no runtime state, so one compilation
+serves every runtime in the process (:mod:`repro.lang.modules` caches
+the compiled capability-safe modules).
+
+Variables are resolved at compile time where the frame that binds them
+is static: a reference compiles to "the frame ``depth`` links up",
+counting only frames that can hold a binding (scopes without
+definitions get no frame at all).  Only where a definition might or
+might not have run by the time of the reference — a definition that
+sits under a condition, or a later definition seen from inside a
+closure — does the reference walk the environment chain as before.
+
+The evaluator also owns **value application**: closures, builtins and
+contract-guarded functions all funnel through :meth:`Interp.apply`,
+which is where function contracts interpose.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ShillRuntimeError
 from repro.contracts.functionctc import GuardedFunction
@@ -19,7 +34,10 @@ from repro.lang.env import Env
 from repro.lang.values import VOID, BuiltinFunction, Closure, truthy
 
 _PENDING = object()
+_MISSING = object()
 
+#: Compiled code: runs one statement or expression in an environment.
+Code = Callable[[Env], Any]
 
 class Interp:
     """Evaluator shared by both dialects (the ambient dialect is the same
@@ -32,29 +50,26 @@ class Interp:
     # application
     # ------------------------------------------------------------------
 
-    def apply(self, fn: Any, args: Sequence[Any], kwargs: Mapping[str, Any] | None = None) -> Any:
+    @staticmethod
+    def apply(fn: Any, args: Sequence[Any], kwargs: Mapping[str, Any] | None = None) -> Any:
         kwargs = kwargs or {}
         if isinstance(fn, GuardedFunction):
-            return fn.invoke(self._apply_raw, args, kwargs)
-        return self._apply_raw(fn, args, kwargs)
+            return fn.invoke(Interp._apply_raw, args, kwargs)
+        return Interp._apply_raw(fn, args, kwargs)
 
-    def _apply_raw(self, fn: Any, args: Sequence[Any], kwargs: Mapping[str, Any]) -> Any:
+    @staticmethod
+    def _apply_raw(fn: Any, args: Sequence[Any], kwargs: Mapping[str, Any]) -> Any:
         if isinstance(fn, GuardedFunction):
             # A guarded function reached through another contract layer.
-            return fn.invoke(self._apply_raw, args, kwargs)
+            return fn.invoke(Interp._apply_raw, args, kwargs)
         if isinstance(fn, Closure):
             if kwargs:
                 raise ShillRuntimeError(
                     f"{fn.display_name} does not accept keyword arguments"
                 )
             if len(args) != len(fn.params):
-                raise ShillRuntimeError(
-                    f"{fn.display_name} expects {len(fn.params)} argument(s), got {len(args)}"
-                )
-            env = fn.env.child()
-            for name, value in zip(fn.params, args):
-                env.define(name, value)
-            return self.exec_block(fn.body, env)
+                raise _arity_error(fn, args)
+            return fn.code(fn.env, args)
         if isinstance(fn, BuiltinFunction):
             return fn.fn(*args, **kwargs)
         if callable(fn):
@@ -66,137 +81,564 @@ class Interp:
     # ------------------------------------------------------------------
 
     def exec_stmts(self, stmts: Sequence[A.Stmt], env: Env) -> Any:
-        result: Any = VOID
-        for stmt in stmts:
-            result = self.exec_stmt(stmt, env)
-        return result
+        """Compile a module body and run it in ``env``, its top-level
+        frame; returns the last statement's value.  Scripts loaded
+        through :mod:`repro.lang.modules` reuse a cached compilation
+        instead (see :func:`repro.lang.modules.compile_module`)."""
+        return compile_stmts(stmts)(env)
 
-    def exec_stmt(self, stmt: A.Stmt, env: Env) -> Any:
-        if isinstance(stmt, A.Def):
-            env.define(stmt.name, _PENDING)
-            value = self.eval(stmt.expr, env)
-            if isinstance(value, Closure) and not value.name:
-                value.name = stmt.name
-            env.complete_definition(stmt.name, value)
+
+def _arity_error(fn: Closure, args: Sequence[Any]) -> ShillRuntimeError:
+    return ShillRuntimeError(
+        f"{fn.display_name} expects {len(fn.params)} argument(s), got {len(args)}"
+    )
+
+
+def _call(fn: Any, args: list) -> Any:
+    """Apply ``fn`` to positional ``args``: :meth:`Interp.apply` with the
+    two common cases taken first."""
+    kind = type(fn)
+    if kind is Closure:
+        if len(args) != len(fn.params):
+            raise _arity_error(fn, args)
+        return fn.code(fn.env, args)
+    if kind is BuiltinFunction:
+        return fn.fn(*args)
+    return Interp.apply(fn, args, {})
+
+
+# ----------------------------------------------------------------------
+# scopes (compile time only)
+# ----------------------------------------------------------------------
+
+
+class _Scope:
+    """What the compiler knows about one runtime frame.
+
+    ``fixed`` names are bound when the frame is made (parameters, the
+    loop variable).  ``first_def`` maps a name to the index of the first
+    statement of this scope that defines it unconditionally;
+    ``cond_def`` to the first statement that may define it (a definition
+    under an ``if``).  ``pos`` is the statement being compiled.  The
+    module scope is the root: its frame is the environment the module
+    runs in, whose names (builtins, imports) are only known at run time.
+    """
+
+    __slots__ = ("parent", "fixed", "first_def", "cond_def", "framed", "is_fun", "pos")
+
+    def __init__(self, parent: "_Scope | None", stmts: Sequence[A.Stmt] = (),
+                 fixed: Sequence[str] = (), is_fun: bool = False) -> None:
+        self.parent = parent
+        self.fixed = frozenset(fixed)
+        self.first_def: dict[str, int] = {}
+        self.cond_def: dict[str, int] = {}
+        for index, stmt in enumerate(stmts):
+            if isinstance(stmt, A.Def):
+                self.first_def.setdefault(stmt.name, index)
+            for name in _nested_defs(stmt):
+                self.cond_def.setdefault(name, index)
+        self.framed = parent is None or bool(self.fixed or self.first_def or self.cond_def)
+        self.is_fun = is_fun
+        self.pos = 0
+
+    def defines(self) -> set[str]:
+        return set(self.first_def) | set(self.cond_def)
+
+
+def _nested_defs(node: Any) -> Iterator[str]:
+    """Names that ``node`` may define into its own frame other than as a
+    top-level definition: definitions reached through ``if`` branches or
+    inside expressions.  Function bodies, blocks and loop bodies have
+    frames of their own and are not searched."""
+    if isinstance(node, A.Def):
+        children: Sequence[Any] = (node.expr,)
+    elif isinstance(node, A.ExprStmt):
+        children = (node.expr,)
+    elif isinstance(node, A.If):
+        children = (node.cond, node.then, node.otherwise)
+    elif isinstance(node, A.For):
+        children = (node.iterable,)
+    elif isinstance(node, A.Call):
+        children = (node.fn, *node.args, *(value for _, value in node.kwargs))
+    elif isinstance(node, A.UnOp):
+        children = (node.operand,)
+    elif isinstance(node, A.BinOp):
+        children = (node.left, node.right)
+    elif isinstance(node, A.ListLit):
+        children = node.items
+    else:
+        children = ()
+    for child in children:
+        if isinstance(child, A.Def):
+            yield child.name
+        if child is not None:
+            yield from _nested_defs(child)
+
+
+# ----------------------------------------------------------------------
+# compiling statements
+# ----------------------------------------------------------------------
+
+
+def compile_stmts(stmts: Sequence[A.Stmt]) -> Code:
+    """Compile a module body: the code runs it in the module's frame and
+    returns the last statement's value."""
+    # The module scope's names are looked up at run time: no scan.
+    return _compile_stmts(stmts, _Scope(None))
+
+
+def _compile_stmts(stmts: Sequence[A.Stmt], scope: _Scope) -> Code:
+    codes = []
+    for index, stmt in enumerate(stmts):
+        scope.pos = index
+        codes.append(_compile_stmt(stmt, scope))
+    if not codes:
+        return lambda env: VOID
+    if len(codes) == 1:
+        return codes[0]
+    if len(codes) == 2:
+        first, second = codes
+
+        def run_two(env: Env) -> Any:
+            first(env)
+            return second(env)
+        return run_two
+    *init, last = codes
+
+    def run(env: Env) -> Any:
+        for code in init:
+            code(env)
+        return last(env)
+    return run
+
+
+def _compile_stmt(stmt: Any, scope: _Scope) -> Code:
+    if isinstance(stmt, A.Def):
+        return _compile_def(stmt, scope)
+    if isinstance(stmt, A.ExprStmt):
+        return _compile_expr(stmt.expr, scope)
+    if isinstance(stmt, A.If):
+        return _compile_if(stmt, scope)
+    if isinstance(stmt, A.For):
+        return _compile_for(stmt, scope)
+    if isinstance(stmt, A.Block):
+        return _compile_block(stmt, scope)
+    return _raiser(f"unknown statement {stmt!r}")
+
+
+def _raiser(message: str) -> Code:
+    def fail(env: Env) -> Any:
+        raise ShillRuntimeError(message)
+    return fail
+
+
+def _compile_def(stmt: A.Def, scope: _Scope) -> Code:
+    name = stmt.name
+    value = _compile_expr(stmt.expr, scope, name)
+    # A function literal is compiled with the definition's name already;
+    # any other closure value is named when the definition completes.
+    names_closure = not isinstance(stmt.expr, A.Fun)
+
+    def define(env: Env) -> Any:
+        frame = env._frame
+        if name in frame:
+            env.define(name, _PENDING)      # raises: SHILL has no mutable variables
+        # Reserve the name first, so a recursive right-hand side can
+        # refer to it (the knot is tied when the definition completes).
+        frame[name] = _PENDING
+        result = value(env)
+        if names_closure and isinstance(result, Closure) and not result.name:
+            result.name = name
+        env.complete_definition(name, result)
+        return VOID
+    return define
+
+
+def _compile_if(node: A.If, scope: _Scope) -> Code:
+    cond = _compile_expr(node.cond, scope)
+    then = _compile_stmt(node.then, scope)
+    if node.otherwise is None:
+        def if_then(env: Env) -> Any:
+            flag = cond(env)
+            if flag is True:
+                return then(env)
+            if flag is not False:
+                truthy(flag)                # raises: conditions are booleans
             return VOID
-        if isinstance(stmt, A.ExprStmt):
-            return self.eval(stmt.expr, env)
-        if isinstance(stmt, A.If):
-            if truthy(self.eval(stmt.cond, env)):
-                return self.exec_stmt(stmt.then, env)
-            if stmt.otherwise is not None:
-                return self.exec_stmt(stmt.otherwise, env)
-            return VOID
-        if isinstance(stmt, A.For):
-            iterable = self.eval(stmt.iterable, env)
-            if not isinstance(iterable, (list, tuple)):
-                raise ShillRuntimeError(f"for expects a list, got {iterable!r}")
-            for item in iterable:
-                body_env = env.child()
-                body_env.define(stmt.var, item)
-                self.exec_stmts(stmt.body.stmts, body_env)
-            return VOID
-        if isinstance(stmt, A.Block):
-            return self.exec_block(stmt, env)
-        raise ShillRuntimeError(f"unknown statement {stmt!r}")
+        return if_then
+    otherwise = _compile_stmt(node.otherwise, scope)
 
-    def exec_block(self, block: A.Block, env: Env) -> Any:
-        return self.exec_stmts(block.stmts, env.child())
+    def if_else(env: Env) -> Any:
+        flag = cond(env)
+        if flag is True:
+            return then(env)
+        if flag is not False:
+            truthy(flag)                    # raises: conditions are booleans
+        return otherwise(env)
+    return if_else
 
-    # ------------------------------------------------------------------
-    # expressions
-    # ------------------------------------------------------------------
 
-    def eval(self, expr: A.Expr, env: Env) -> Any:
-        if isinstance(expr, A.Lit):
-            return expr.value
-        if isinstance(expr, A.Var):
-            value = env.lookup(expr.name)
+def _compile_for(node: A.For, scope: _Scope) -> Code:
+    iterable = _compile_expr(node.iterable, scope)
+    var = node.var
+    body = _compile_stmts(node.body.stmts, _Scope(scope, node.body.stmts, fixed=(var,)))
+
+    def loop(env: Env) -> Any:
+        items = iterable(env)
+        if not isinstance(items, (list, tuple)):
+            raise ShillRuntimeError(f"for expects a list, got {items!r}")
+        for item in items:
+            body(Env(env, {var: item}))
+        return VOID
+    return loop
+
+
+def _compile_block(block: A.Block, scope: _Scope) -> Code:
+    inner = _Scope(scope, block.stmts)
+    body = _compile_stmts(block.stmts, inner)
+    if not inner.framed:
+        return body
+    return lambda env: body(Env(env))
+
+
+# ----------------------------------------------------------------------
+# compiling expressions
+# ----------------------------------------------------------------------
+
+
+def _compile_expr(expr: Any, scope: _Scope, def_name: str = "") -> Code:
+    """``def_name`` names a function literal bound by a definition."""
+    if isinstance(expr, A.Lit):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, A.Var):
+        return _compile_var(expr.name, scope)
+    if isinstance(expr, A.ListLit):
+        items = [_compile_expr(item, scope) for item in expr.items]
+        return lambda env: [item(env) for item in items]
+    if isinstance(expr, A.Fun):
+        return _compile_fun(expr, scope, def_name)
+    if isinstance(expr, A.Call):
+        return _compile_call(expr, scope)
+    if isinstance(expr, A.UnOp):
+        return _compile_unop(expr, scope)
+    if isinstance(expr, A.BinOp):
+        return _compile_binop(expr, scope)
+    if isinstance(expr, A.If):
+        return _compile_if(expr, scope)
+    if isinstance(expr, A.Block):
+        return _compile_block(expr, scope)
+    return _raiser(f"unknown expression {expr!r}")
+
+
+def _pending_error(name: str) -> ShillRuntimeError:
+    return ShillRuntimeError(f"variable {name!r} used before its definition completed")
+
+
+def _compile_var(name: str, scope: _Scope) -> Code:
+    depth = 0
+    inside_fun = False
+    while scope.parent is not None:
+        if name in scope.fixed:
+            return _frame_var(name, depth, may_be_pending=False)
+        first = scope.first_def.get(name)
+        if first is not None and first <= scope.pos:
+            # Defined (or being defined) before this reference runs.
+            return _frame_var(name, depth, may_be_pending=True)
+        cond = scope.cond_def.get(name)
+        if first is not None or cond is not None:
+            if inside_fun or (cond is not None and cond <= scope.pos):
+                # A closure may run before or after the definition, and
+                # a conditional definition may or may not have run.
+                return _chain_var(name)
+            # Defined only after this reference: not bound here yet.
+        if scope.framed:
+            depth += 1
+        inside_fun = inside_fun or scope.is_fun
+        scope = scope.parent
+    return _module_var(name, depth)
+
+
+def _frame_var(name: str, depth: int, may_be_pending: bool) -> Code:
+    """A binding known to be in the frame ``depth`` links up."""
+    if not may_be_pending:
+        if depth == 0:
+            return lambda env: env._frame[name]
+        if depth == 1:
+            return lambda env: env._parent._frame[name]
+    elif depth == 0:
+        def lookup_here(env: Env) -> Any:
+            value = env._frame[name]
             if value is _PENDING:
-                raise ShillRuntimeError(
-                    f"variable {expr.name!r} used before its definition completed"
-                )
+                raise _pending_error(name)
             return value
-        if isinstance(expr, A.ListLit):
-            return [self.eval(item, env) for item in expr.items]
-        if isinstance(expr, A.Fun):
-            return Closure(expr.name, list(expr.params), expr.body, env)
-        if isinstance(expr, A.Call):
-            fn = self.eval(expr.fn, env)
-            args = [self.eval(arg, env) for arg in expr.args]
-            kwargs = {key: self.eval(val, env) for key, val in expr.kwargs}
-            return self.apply(fn, args, kwargs)
-        if isinstance(expr, A.UnOp):
-            return self._unop(expr, env)
-        if isinstance(expr, A.BinOp):
-            return self._binop(expr, env)
-        if isinstance(expr, A.If):
-            if truthy(self.eval(expr.cond, env)):
-                return self.exec_stmt(expr.then, env)
-            if expr.otherwise is not None:
-                return self.exec_stmt(expr.otherwise, env)
-            return VOID
-        if isinstance(expr, A.Block):
-            return self.exec_block(expr, env)
-        raise ShillRuntimeError(f"unknown expression {expr!r}")
+        return lookup_here
 
-    def _unop(self, expr: A.UnOp, env: Env) -> Any:
-        value = self.eval(expr.operand, env)
-        if expr.op == "!":
-            return not truthy(value)
-        if expr.op == "-":
+    def lookup(env: Env) -> Any:
+        for _ in range(depth):
+            env = env._parent
+        value = env._frame[name]
+        if value is _PENDING:
+            raise _pending_error(name)
+        return value
+    return lookup
+
+
+def _module_var(name: str, depth: int) -> Code:
+    """A name no enclosing function or block defines: the module frame
+    ``depth`` links up holds it, or it is unbound."""
+    def found(env: Env, value: Any) -> Any:
+        if value is _MISSING:
+            value = env.lookup(name)        # the module's parents, or unbound
+        if value is _PENDING:
+            raise _pending_error(name)
+        return value
+
+    # Builtins and module-level functions are most of a script's
+    # references, so the common depths get a closure each.
+    if depth == 0:
+        def lookup0(env: Env) -> Any:
+            value = env._frame.get(name, _MISSING)
+            if value is _MISSING or value is _PENDING:
+                return found(env, value)
+            return value
+        return lookup0
+    if depth == 1:
+        def lookup1(env: Env) -> Any:
+            env = env._parent
+            value = env._frame.get(name, _MISSING)
+            if value is _MISSING or value is _PENDING:
+                return found(env, value)
+            return value
+        return lookup1
+    if depth == 2:
+        def lookup2(env: Env) -> Any:
+            env = env._parent._parent
+            value = env._frame.get(name, _MISSING)
+            if value is _MISSING or value is _PENDING:
+                return found(env, value)
+            return value
+        return lookup2
+
+    def lookup(env: Env) -> Any:
+        for _ in range(depth):
+            env = env._parent
+        value = env._frame.get(name, _MISSING)
+        if value is _MISSING or value is _PENDING:
+            return found(env, value)
+        return value
+    return lookup
+
+
+def _chain_var(name: str) -> Code:
+    def lookup(env: Env) -> Any:
+        value = env.lookup(name)
+        if value is _PENDING:
+            raise _pending_error(name)
+        return value
+    return lookup
+
+
+def _compile_fun(fun: A.Fun, scope: _Scope, def_name: str) -> Code:
+    name = fun.name or def_name
+    params = fun.params
+    body_ast = fun.body
+    code = _compile_fun_body(fun, scope)
+
+    def make(env: Env) -> Closure:
+        return Closure(name, list(params), body_ast, env, code)
+    return make
+
+
+def _compile_fun_body(fun: A.Fun, scope: _Scope) -> Callable[[Env, Sequence[Any]], Any]:
+    """``code(captured_env, args)`` for a closure; arity is checked by
+    the caller.  Parameters and body definitions share one frame unless
+    that would change behaviour: a body may redefine a parameter (its
+    block frame shadows the parameter frame), and a repeated parameter
+    name is a duplicate-definition error at call time."""
+    params = fun.params
+    stmts = fun.body.stmts
+    inner = _Scope(scope, stmts, fixed=params, is_fun=True)
+    if len(set(params)) == len(params) and not inner.defines() & set(params):
+        body = _compile_stmts(stmts, inner)
+        if not inner.framed:
+            return lambda env, args: body(env)
+        if not params:
+            return lambda env, args: body(Env(env))
+        if len(params) == 1:
+            param = params[0]
+            return lambda env, args: body(Env(env, {param: args[0]}))
+        return lambda env, args: body(Env(env, dict(zip(params, args))))
+
+    block = _compile_block(fun.body, _Scope(scope, fixed=params, is_fun=True))
+
+    def bind_each(env: Env, args: Sequence[Any]) -> Any:
+        frame = Env(env)
+        for param, value in zip(params, args):
+            frame.define(param, value)
+        return block(frame)
+    return bind_each
+
+
+def _compile_call(expr: A.Call, scope: _Scope) -> Code:
+    # Evaluation order: the function, then arguments left to right,
+    # then keyword arguments.
+    fn = _compile_expr(expr.fn, scope)
+    args = [_compile_expr(arg, scope) for arg in expr.args]
+    if expr.kwargs:
+        kwargs = [(key, _compile_expr(value, scope)) for key, value in expr.kwargs]
+
+        def call_kw(env: Env) -> Any:
+            target = fn(env)
+            values = [arg(env) for arg in args]
+            return Interp.apply(target, values, {key: value(env) for key, value in kwargs})
+        return call_kw
+    if not args:
+        return lambda env: _call(fn(env), [])
+    if len(args) == 1:
+        arg0 = args[0]
+
+        def call1(env: Env) -> Any:
+            # _call, inlined for the commonest shapes.
+            target = fn(env)
+            values = [arg0(env)]
+            kind = type(target)
+            if kind is BuiltinFunction:
+                return target.fn(*values)
+            if kind is Closure and len(target.params) == 1:
+                return target.code(target.env, values)
+            return _call(target, values)
+        return call1
+    if len(args) == 2:
+        arg0, arg1 = args
+
+        def call2(env: Env) -> Any:
+            target = fn(env)
+            values = [arg0(env), arg1(env)]
+            kind = type(target)
+            if kind is BuiltinFunction:
+                return target.fn(*values)
+            if kind is Closure and len(target.params) == 2:
+                return target.code(target.env, values)
+            return _call(target, values)
+        return call2
+    return lambda env: _call(fn(env), [arg(env) for arg in args])
+
+
+def _compile_unop(expr: A.UnOp, scope: _Scope) -> Code:
+    operand = _compile_expr(expr.operand, scope)
+    if expr.op == "!":
+        def negate(env: Env) -> Any:
+            value = operand(env)
+            if value is True:
+                return False
+            if value is not False:
+                truthy(value)               # raises: conditions are booleans
+            return True
+        return negate
+    if expr.op == "-":
+        def minus(env: Env) -> Any:
+            value = operand(env)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ShillRuntimeError(f"unary - on non-number {value!r}")
             return -value
-        raise ShillRuntimeError(f"unknown unary operator {expr.op!r}")
+        return minus
+    message = f"unknown unary operator {expr.op!r}"
 
-    def _binop(self, expr: A.BinOp, env: Env) -> Any:
-        op = expr.op
-        if op == "&&":
-            return truthy(self.eval(expr.left, env)) and truthy(self.eval(expr.right, env))
-        if op == "||":
-            return truthy(self.eval(expr.left, env)) or truthy(self.eval(expr.right, env))
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "+":
-            if isinstance(left, str) and isinstance(right, str):
-                return left + right
-            return self._arith(op, left, right)
-        if op in ("-", "*", "/", "%"):
-            return self._arith(op, left, right)
-        if op in ("<", ">", "<=", ">="):
-            self._require_num(left, op)
-            self._require_num(right, op)
-            return {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}[op]
-        raise ShillRuntimeError(f"unknown operator {op!r}")
+    def unknown(env: Env) -> Any:
+        operand(env)
+        raise ShillRuntimeError(message)
+    return unknown
 
-    def _arith(self, op: str, left: Any, right: Any) -> Any:
-        self._require_num(left, op)
-        self._require_num(right, op)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ShillRuntimeError("division by zero")
-            result = left / right
-            if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-                return int(result)
-            return result
-        if op == "%":
-            if right == 0:
-                raise ShillRuntimeError("modulo by zero")
-            return left % right
-        raise AssertionError(op)
 
-    @staticmethod
-    def _require_num(value: Any, op: str) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ShillRuntimeError(f"operator {op!r} expects numbers, got {value!r}")
+def _compile_binop(expr: A.BinOp, scope: _Scope) -> Code:
+    op = expr.op
+    left = _compile_expr(expr.left, scope)
+    right = _compile_expr(expr.right, scope)
+    if op == "&&":
+        def both(env: Env) -> Any:
+            flag = left(env)
+            if flag is False:
+                return False
+            if flag is not True:
+                truthy(flag)                # raises: conditions are booleans
+            flag = right(env)
+            return flag if flag is True or flag is False else truthy(flag)
+        return both
+    if op == "||":
+        def either(env: Env) -> Any:
+            flag = left(env)
+            if flag is True:
+                return True
+            if flag is not False:
+                truthy(flag)                # raises: conditions are booleans
+            flag = right(env)
+            return flag if flag is True or flag is False else truthy(flag)
+        return either
+    if op == "==":
+        return lambda env: left(env) == right(env)
+    if op == "!=":
+        return lambda env: left(env) != right(env)
+    if op == "+":
+        def plus(env: Env) -> Any:
+            a = left(env)
+            b = right(env)
+            if isinstance(a, str) and isinstance(b, str):
+                return a + b
+            return _arith("+", a, b)
+        return plus
+    if op in ("-", "*", "/", "%"):
+        return lambda env: _arith(op, left(env), right(env))
+    if op in _COMPARE:
+        compare = _COMPARE[op]
+
+        def ordered(env: Env) -> Any:
+            a = left(env)
+            b = right(env)
+            _require_num(a, op)
+            _require_num(b, op)
+            return compare(a, b)
+        return ordered
+    message = f"unknown operator {op!r}"
+
+    def unknown(env: Env) -> Any:
+        left(env)
+        right(env)
+        raise ShillRuntimeError(message)
+    return unknown
+
+
+_COMPARE: dict[str, Callable[[Any, Any], bool]] = {
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _arith(op: str, left: Any, right: Any) -> Any:
+    _require_num(left, op)
+    _require_num(right, op)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise ShillRuntimeError("division by zero")
+        result = left / right
+        if isinstance(left, int) and isinstance(right, int) and left % right == 0:
+            return int(result)
+        return result
+    if op == "%":
+        if right == 0:
+            raise ShillRuntimeError("modulo by zero")
+        return left % right
+    raise AssertionError(op)
+
+
+def _require_num(value: Any, op: str) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ShillRuntimeError(f"operator {op!r} expects numbers, got {value!r}")

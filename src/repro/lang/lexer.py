@@ -28,6 +28,20 @@ def _advance_pos(source: str, start: int, stop: int, line: int, col: int) -> tup
     return line, col + (stop - start)
 
 
+#: The two-character operators.  No operator is longer, so a match here
+#: is the longest match.
+_DOUBLE = {
+    "->": T.ARROW,
+    "\\/": T.OR_CTC,
+    "/\\": T.AND_CTC,
+    "&&": T.AND,
+    "||": T.OR,
+    "==": T.EQ,
+    "!=": T.NE,
+    "<=": T.LE,
+    ">=": T.GE,
+}
+
 _SIMPLE = {
     "(": T.LPAREN,
     ")": T.RPAREN,
@@ -127,23 +141,12 @@ def lex(source: str, filename: str = "<script>") -> list[Token]:
             col += j - i
             i = j
             continue
-        # multi-character operators (longest match first)
-        for text, ttype in (
-            ("->", T.ARROW),
-            ("\\/", T.OR_CTC),
-            ("/\\", T.AND_CTC),
-            ("&&", T.AND),
-            ("||", T.OR),
-            ("==", T.EQ),
-            ("!=", T.NE),
-            ("<=", T.LE),
-            (">=", T.GE),
-        ):
-            if source.startswith(text, i):
-                push(ttype, text)
-                col += len(text)
-                i += len(text)
-                break
+        # two-character operators first (longest match)
+        text = source[i : i + 2]
+        if text in _DOUBLE:
+            push(_DOUBLE[text], text)
+            col += 2
+            i += 2
         else:
             if ch in _SIMPLE:
                 push(_SIMPLE[ch], ch)

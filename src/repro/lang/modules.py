@@ -12,6 +12,7 @@ Security properties enforced here (section 2.5 / 3.1.2):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -20,6 +21,7 @@ from repro.contracts.blame import Blame
 from repro.lang import ast_ as A
 from repro.lang.ctc_elab import elaborate
 from repro.lang.env import Env
+from repro.lang.interp import Code, compile_stmts
 from repro.lang.parser import check_ambient_restrictions, parse_source
 from repro.lang.values import BuiltinFunction
 
@@ -28,6 +30,9 @@ if TYPE_CHECKING:
 
 CAP_LANG = "shill/cap"
 AMBIENT_LANG = "shill/ambient"
+
+#: How many capability-safe scripts :func:`compile_module` keeps per process.
+MODULE_CACHE_SIZE = 32
 
 
 def read_lang(source: str, default: str = CAP_LANG) -> tuple[str, str]:
@@ -43,6 +48,27 @@ def read_lang(source: str, default: str = CAP_LANG) -> tuple[str, str]:
             return lang, rest
         break
     return default, source
+
+
+@dataclass(frozen=True)
+class CompiledModule:
+    """A parsed script and its compiled body (``code(env)`` runs it)."""
+
+    ast: A.Module
+    code: Code
+
+
+@functools.lru_cache(maxsize=MODULE_CACHE_SIZE)
+def compile_module(body_source: str, lang: str, filename: str) -> CompiledModule:
+    """Parse and compile a capability-safe script once per process.
+
+    Keyed by (source, lang, filename), bounded (the least recently used
+    script goes first) and safe to use from several threads; a script
+    that fails to parse is not cached.  Ambient scripts are not cached:
+    a job's script is usually its own (a marker line, a path), so caching
+    it would only push the shared library scripts out."""
+    module_ast = parse_source(body_source, lang, filename)
+    return CompiledModule(module_ast, compile_stmts(module_ast.body))
 
 
 @dataclass
@@ -88,10 +114,11 @@ class ModuleLoader:
             raise CapabilitySafetyError(
                 f"capability-safe scripts cannot import ambient scripts ({name})"
             )
-        module_ast = parse_source(body_source, lang, name)
+        compiled = compile_module(body_source, lang, name)
+        module_ast = compiled.ast
         env = self.runtime.cap_env()
         self._process_requires(module_ast, env, importer_name=name)
-        self.runtime.interp.exec_stmts(module_ast.body, env)
+        compiled.code(env)
         provides = {p.name: p.contract for p in module_ast.provides}
         for export in provides:
             if not env.bound(export):

@@ -16,7 +16,7 @@ keeps builtins simple.  Language-specific values:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
     from repro.lang.ast_ import Block
@@ -59,15 +59,21 @@ class SysErrorVal:
 
 
 class Closure:
-    """A user-defined function value."""
+    """A user-defined function value.
 
-    __slots__ = ("name", "params", "body", "env")
+    ``code(env, args)`` is the compiled body: it binds ``args`` (already
+    checked against ``params``) in a frame below the captured ``env`` and
+    runs the body there."""
 
-    def __init__(self, name: str, params: list[str], body: "Block", env: "Env") -> None:
+    __slots__ = ("name", "params", "body", "env", "code")
+
+    def __init__(self, name: str, params: list[str], body: "Block", env: "Env",
+                 code: "Callable[[Env, Sequence[Any]], Any]") -> None:
         self.name = name
         self.params = params
         self.body = body
         self.env = env
+        self.code = code
 
     @property
     def display_name(self) -> str:
