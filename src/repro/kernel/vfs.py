@@ -272,7 +272,7 @@ class VFS:
         self._dcache_gen = self._generation
         # path_of memo: vnode → its path, valid while the generation
         # matches and no name-cache backpointer or lazily shared entry
-        # has changed since (those clear it; see _note_name).
+        # has changed since (those clear it; see note_name).
         self._paths: dict[Vnode, str] = {}
         self._paths_gen = self._generation
         # Lazy-fork state (populated on clones made by fork()):

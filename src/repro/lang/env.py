@@ -30,9 +30,6 @@ class Env:
         self._frame: dict[str, Any] = {} if frame is None else frame
         self._parent = parent
 
-    def child(self) -> "Env":
-        return Env(self)
-
     def define(self, name: str, value: Any) -> None:
         if name in self._frame:
             raise ShillRuntimeError(

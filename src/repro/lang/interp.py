@@ -39,6 +39,7 @@ _MISSING = object()
 #: Compiled code: runs one statement or expression in an environment.
 Code = Callable[[Env], Any]
 
+
 class Interp:
     """Evaluator shared by both dialects (the ambient dialect is the same
     machine over a restricted AST plus ambient builtins)."""
@@ -82,9 +83,9 @@ class Interp:
 
     def exec_stmts(self, stmts: Sequence[A.Stmt], env: Env) -> Any:
         """Compile a module body and run it in ``env``, its top-level
-        frame; returns the last statement's value.  Scripts loaded
-        through :mod:`repro.lang.modules` reuse a cached compilation
-        instead (see :func:`repro.lang.modules.compile_module`)."""
+        frame; returns the last statement's value.  Capability-safe
+        scripts loaded through :mod:`repro.lang.modules` reuse a cached
+        compilation instead (:func:`repro.lang.modules.compile_module`)."""
         return compile_stmts(stmts)(env)
 
 
