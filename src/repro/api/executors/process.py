@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pickle
 import traceback as _traceback
-from typing import TYPE_CHECKING, Any
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any
 
 from repro.api.executors.base import (
     BatchExecutionError,
@@ -31,9 +32,6 @@ from repro.api.executors.base import (
     run_job,
 )
 from repro.api.results import RunResult
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # ---------------------------------------------------------------------------
 # worker plumbing (module-level: worker processes must import it by name)
@@ -164,11 +162,6 @@ class ProcessExecutor(Executor):
         if self._pool is not None and self._pool_token == pool_key:
             return self._pool
         self.close()
-        # Imported here: the pool machinery (multiprocessing queues and
-        # connections) costs about 1 MB of RSS that processes which never
-        # start a pool should not pay.
-        from concurrent.futures import ProcessPoolExecutor
-
         initializer, initargs = self._worker_boot(template)
         self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                          initializer=initializer,

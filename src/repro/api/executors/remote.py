@@ -36,7 +36,7 @@ import time
 import traceback as _traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from repro.api.executors.base import (
     BatchExecutionError,
@@ -51,13 +51,8 @@ from repro.api.executors.base import (
 from repro.api.executors.store import StoreBootMixin
 from repro.api.scheduling import SchedulingPolicy
 from repro.kernel.store import SnapshotStore
-
-if TYPE_CHECKING:
-    from repro.remote.hostpool import HostSpec, HostState
-
-# repro.remote (the wire protocol and host pool, about 0.75 MB of RSS)
-# is imported where a RemoteExecutor first needs it, so processes that
-# only run local executors do not load it.
+from repro.remote.hostpool import HostPool, HostSpec, HostState
+from repro.remote.wire import WireError, template_key
 
 
 class RemoteExecutor(StoreBootMixin, Executor):
@@ -110,8 +105,6 @@ class RemoteExecutor(StoreBootMixin, Executor):
                  policy: "SchedulingPolicy | str | None" = None,
                  workers: "int | None" = None,
                  concurrency: int = 1) -> None:
-        from repro.remote.hostpool import HostPool
-
         self.hosts = HostPool(hosts, policy=policy)
         self.concurrency = max(1, int(concurrency))
         super().__init__(workers or len(self.hosts) * self.concurrency)
@@ -158,8 +151,6 @@ class RemoteExecutor(StoreBootMixin, Executor):
         iteration strictly shrinks the candidate set; BUSY responses
         spend a separate bounded retry budget.
         """
-        from repro.remote.wire import WireError
-
         tried: list[str] = []
         excluded: set[HostSpec] = set()
         busy_budget = self.busy_retries
@@ -253,8 +244,6 @@ class RemoteExecutor(StoreBootMixin, Executor):
         cached = self._wire_keys.get(template.token)
         if cached is not None:
             return cached
-        from repro.remote.wire import template_key
-
         digest = self._snapshot_into_store(template)
         wire_key = template_key(digest, template.scripts,
                                 template.default_user,

@@ -27,9 +27,10 @@ from typing import TYPE_CHECKING
 from repro.api.executors.base import register_executor
 from repro.api.executors.remote import RemoteExecutor
 from repro.kernel.store import SnapshotStore
+from repro.remote.hostpool import HostSpec
 
 if TYPE_CHECKING:
-    from repro.remote.hostpool import HostSpec
+    pass
 
 
 class ServeExecutor(RemoteExecutor):
@@ -74,8 +75,6 @@ class ServeExecutor(RemoteExecutor):
                  workers: "int | None" = None,
                  concurrency: int = 4,
                  user: "str | None" = None) -> None:
-        from repro.remote.hostpool import HostSpec
-
         self.gateway = HostSpec.parse(gateway)
         self.user = user
         super().__init__([self.gateway], store=store, workers=workers,

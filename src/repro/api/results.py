@@ -8,7 +8,6 @@ moment a run finishes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -30,15 +29,8 @@ OPS_KEYS = ("total_syscalls", "vnode_ops", "mac_checks", "mac_denials",
 
 
 def freeze_ops(raw: Mapping[str, int]) -> Mapping[str, int]:
-    """Package a kernel-stats delta into the public immutable mapping.
-    Equal counts share one mapping: jobs of one shape repeat the same
-    counts, and a batch's results may be kept by the thousand."""
-    return _frozen_ops(tuple(int(raw.get(key, 0)) for key in OPS_KEYS))
-
-
-@functools.lru_cache(maxsize=256)
-def _frozen_ops(counts: tuple[int, ...]) -> Mapping[str, int]:
-    return MappingProxyType(dict(zip(OPS_KEYS, counts)))
+    """Package a kernel-stats delta into the public immutable mapping."""
+    return MappingProxyType({key: int(raw.get(key, 0)) for key in OPS_KEYS})
 
 
 def freeze_profile(raw: Mapping[str, float]) -> Mapping[str, float]:

@@ -110,4 +110,4 @@ def _is_callable_value(value: Any) -> bool:
         return True
     if callable(value):
         return True
-    return hasattr(value, "params") and hasattr(value, "body")
+    return hasattr(value, "params") and hasattr(value, "code")

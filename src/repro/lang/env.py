@@ -22,12 +22,10 @@ _MISSING = object()
 class Env:
     __slots__ = ("_frame", "_parent")
 
-    def __init__(self, parent: Optional["Env"] = None,
-                 frame: Optional[dict[str, Any]] = None) -> None:
-        # ``frame``: the new frame's first bindings (distinct names, such
-        # as a call's parameters).  The compiler in repro.lang.interp
-        # reads ``_frame`` and ``_parent`` directly at depths it fixed.
-        self._frame: dict[str, Any] = {} if frame is None else frame
+    def __init__(self, parent: Optional["Env"] = None) -> None:
+        # The compiler in repro.lang.interp reads ``_frame`` and
+        # ``_parent`` directly at depths it fixed.
+        self._frame: dict[str, Any] = {}
         self._parent = parent
 
     def define(self, name: str, value: Any) -> None:

@@ -44,9 +44,6 @@ class Interp:
     """Evaluator shared by both dialects (the ambient dialect is the same
     machine over a restricted AST plus ambient builtins)."""
 
-    def __init__(self, runtime=None) -> None:
-        self.runtime = runtime
-
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------
@@ -81,7 +78,8 @@ class Interp:
     # statements
     # ------------------------------------------------------------------
 
-    def exec_stmts(self, stmts: Sequence[A.Stmt], env: Env) -> Any:
+    @staticmethod
+    def exec_stmts(stmts: Sequence[A.Stmt], env: Env) -> Any:
         """Compile a module body and run it in ``env``, its top-level
         frame; returns the last statement's value.  Capability-safe
         scripts loaded through :mod:`repro.lang.modules` reuse a cached
@@ -142,9 +140,6 @@ class _Scope:
         self.is_fun = is_fun
         self.pos = 0
 
-    def defines(self) -> set[str]:
-        return set(self.first_def) | set(self.cond_def)
-
 
 def _nested_defs(node: Any) -> Iterator[str]:
     """Names that ``node`` may define into its own frame other than as a
@@ -193,23 +188,12 @@ def _compile_stmts(stmts: Sequence[A.Stmt], scope: _Scope) -> Code:
     for index, stmt in enumerate(stmts):
         scope.pos = index
         codes.append(_compile_stmt(stmt, scope))
-    if not codes:
-        return lambda env: VOID
-    if len(codes) == 1:
-        return codes[0]
-    if len(codes) == 2:
-        first, second = codes
-
-        def run_two(env: Env) -> Any:
-            first(env)
-            return second(env)
-        return run_two
-    *init, last = codes
 
     def run(env: Env) -> Any:
-        for code in init:
-            code(env)
-        return last(env)
+        result = VOID
+        for code in codes:
+            result = code(env)
+        return result
     return run
 
 
@@ -235,20 +219,14 @@ def _raiser(message: str) -> Code:
 
 def _compile_def(stmt: A.Def, scope: _Scope) -> Code:
     name = stmt.name
-    value = _compile_expr(stmt.expr, scope, name)
-    # A function literal is compiled with the definition's name already;
-    # any other closure value is named when the definition completes.
-    names_closure = not isinstance(stmt.expr, A.Fun)
+    value = _compile_expr(stmt.expr, scope)
 
     def define(env: Env) -> Any:
-        frame = env._frame
-        if name in frame:
-            env.define(name, _PENDING)      # raises: SHILL has no mutable variables
         # Reserve the name first, so a recursive right-hand side can
         # refer to it (the knot is tied when the definition completes).
-        frame[name] = _PENDING
+        env.define(name, _PENDING)
         result = value(env)
-        if names_closure and isinstance(result, Closure) and not result.name:
+        if isinstance(result, Closure) and not result.name:
             result.name = name
         env.complete_definition(name, result)
         return VOID
@@ -258,25 +236,14 @@ def _compile_def(stmt: A.Def, scope: _Scope) -> Code:
 def _compile_if(node: A.If, scope: _Scope) -> Code:
     cond = _compile_expr(node.cond, scope)
     then = _compile_stmt(node.then, scope)
-    if node.otherwise is None:
-        def if_then(env: Env) -> Any:
-            flag = cond(env)
-            if flag is True:
-                return then(env)
-            if flag is not False:
-                truthy(flag)                # raises: conditions are booleans
-            return VOID
-        return if_then
-    otherwise = _compile_stmt(node.otherwise, scope)
+    otherwise = (_compile_stmt(node.otherwise, scope) if node.otherwise is not None
+                 else lambda env: VOID)
 
-    def if_else(env: Env) -> Any:
-        flag = cond(env)
-        if flag is True:
+    def branch(env: Env) -> Any:
+        if truthy(cond(env)):
             return then(env)
-        if flag is not False:
-            truthy(flag)                    # raises: conditions are booleans
         return otherwise(env)
-    return if_else
+    return branch
 
 
 def _compile_for(node: A.For, scope: _Scope) -> Code:
@@ -289,7 +256,9 @@ def _compile_for(node: A.For, scope: _Scope) -> Code:
         if not isinstance(items, (list, tuple)):
             raise ShillRuntimeError(f"for expects a list, got {items!r}")
         for item in items:
-            body(Env(env, {var: item}))
+            frame = Env(env)
+            frame.define(var, item)
+            body(frame)
         return VOID
     return loop
 
@@ -307,8 +276,7 @@ def _compile_block(block: A.Block, scope: _Scope) -> Code:
 # ----------------------------------------------------------------------
 
 
-def _compile_expr(expr: Any, scope: _Scope, def_name: str = "") -> Code:
-    """``def_name`` names a function literal bound by a definition."""
+def _compile_expr(expr: Any, scope: _Scope) -> Code:
     if isinstance(expr, A.Lit):
         value = expr.value
         return lambda env: value
@@ -318,7 +286,7 @@ def _compile_expr(expr: Any, scope: _Scope, def_name: str = "") -> Code:
         items = [_compile_expr(item, scope) for item in expr.items]
         return lambda env: [item(env) for item in items]
     if isinstance(expr, A.Fun):
-        return _compile_fun(expr, scope, def_name)
+        return _compile_fun(expr, scope)
     if isinstance(expr, A.Call):
         return _compile_call(expr, scope)
     if isinstance(expr, A.UnOp):
@@ -341,11 +309,11 @@ def _compile_var(name: str, scope: _Scope) -> Code:
     inside_fun = False
     while scope.parent is not None:
         if name in scope.fixed:
-            return _frame_var(name, depth, may_be_pending=False)
+            return _frame_var(name, depth)
         first = scope.first_def.get(name)
         if first is not None and first <= scope.pos:
             # Defined (or being defined) before this reference runs.
-            return _frame_var(name, depth, may_be_pending=True)
+            return _frame_var(name, depth)
         cond = scope.cond_def.get(name)
         if first is not None or cond is not None:
             if inside_fun or (cond is not None and cond <= scope.pos):
@@ -360,21 +328,8 @@ def _compile_var(name: str, scope: _Scope) -> Code:
     return _module_var(name, depth)
 
 
-def _frame_var(name: str, depth: int, may_be_pending: bool) -> Code:
+def _frame_var(name: str, depth: int) -> Code:
     """A binding known to be in the frame ``depth`` links up."""
-    if not may_be_pending:
-        if depth == 0:
-            return lambda env: env._frame[name]
-        if depth == 1:
-            return lambda env: env._parent._frame[name]
-    elif depth == 0:
-        def lookup_here(env: Env) -> Any:
-            value = env._frame[name]
-            if value is _PENDING:
-                raise _pending_error(name)
-            return value
-        return lookup_here
-
     def lookup(env: Env) -> Any:
         for _ in range(depth):
             env = env._parent
@@ -388,45 +343,14 @@ def _frame_var(name: str, depth: int, may_be_pending: bool) -> Code:
 def _module_var(name: str, depth: int) -> Code:
     """A name no enclosing function or block defines: the module frame
     ``depth`` links up holds it, or it is unbound."""
-    def found(env: Env, value: Any) -> Any:
-        if value is _MISSING:
-            value = env.lookup(name)        # the module's parents, or unbound
-        if value is _PENDING:
-            raise _pending_error(name)
-        return value
-
-    # Builtins and module-level functions are most of a script's
-    # references, so the common depths get a closure each.
-    if depth == 0:
-        def lookup0(env: Env) -> Any:
-            value = env._frame.get(name, _MISSING)
-            if value is _MISSING or value is _PENDING:
-                return found(env, value)
-            return value
-        return lookup0
-    if depth == 1:
-        def lookup1(env: Env) -> Any:
-            env = env._parent
-            value = env._frame.get(name, _MISSING)
-            if value is _MISSING or value is _PENDING:
-                return found(env, value)
-            return value
-        return lookup1
-    if depth == 2:
-        def lookup2(env: Env) -> Any:
-            env = env._parent._parent
-            value = env._frame.get(name, _MISSING)
-            if value is _MISSING or value is _PENDING:
-                return found(env, value)
-            return value
-        return lookup2
-
     def lookup(env: Env) -> Any:
         for _ in range(depth):
             env = env._parent
         value = env._frame.get(name, _MISSING)
-        if value is _MISSING or value is _PENDING:
-            return found(env, value)
+        if value is _MISSING:
+            value = env.lookup(name)        # the module's parents, or unbound
+        if value is _PENDING:
+            raise _pending_error(name)
         return value
     return lookup
 
@@ -440,45 +364,34 @@ def _chain_var(name: str) -> Code:
     return lookup
 
 
-def _compile_fun(fun: A.Fun, scope: _Scope, def_name: str) -> Code:
-    name = fun.name or def_name
+def _compile_fun(fun: A.Fun, scope: _Scope) -> Code:
+    name = fun.name
     params = fun.params
-    body_ast = fun.body
     code = _compile_fun_body(fun, scope)
 
     def make(env: Env) -> Closure:
-        return Closure(name, list(params), body_ast, env, code)
+        return Closure(name, list(params), env, code)
     return make
 
 
 def _compile_fun_body(fun: A.Fun, scope: _Scope) -> Callable[[Env, Sequence[Any]], Any]:
     """``code(captured_env, args)`` for a closure; arity is checked by
-    the caller.  Parameters and body definitions share one frame unless
-    that would change behaviour: a body may redefine a parameter (its
-    block frame shadows the parameter frame), and a repeated parameter
-    name is a duplicate-definition error at call time."""
+    the caller.  The arguments are bound in a frame of their own (a
+    repeated parameter name is a duplicate-definition error at call
+    time) and the body runs as a block below it, so a body definition
+    may shadow a parameter."""
     params = fun.params
-    stmts = fun.body.stmts
-    inner = _Scope(scope, stmts, fixed=params, is_fun=True)
-    if len(set(params)) == len(params) and not inner.defines() & set(params):
-        body = _compile_stmts(stmts, inner)
-        if not inner.framed:
-            return lambda env, args: body(env)
-        if not params:
-            return lambda env, args: body(Env(env))
-        if len(params) == 1:
-            param = params[0]
-            return lambda env, args: body(Env(env, {param: args[0]}))
-        return lambda env, args: body(Env(env, dict(zip(params, args))))
+    outer = _Scope(scope, fixed=params, is_fun=True)
+    block = _compile_block(fun.body, outer)
+    if not outer.framed:
+        return lambda env, args: block(env)
 
-    block = _compile_block(fun.body, _Scope(scope, fixed=params, is_fun=True))
-
-    def bind_each(env: Env, args: Sequence[Any]) -> Any:
+    def bind(env: Env, args: Sequence[Any]) -> Any:
         frame = Env(env)
         for param, value in zip(params, args):
             frame.define(param, value)
         return block(frame)
-    return bind_each
+    return bind
 
 
 def _compile_call(expr: A.Call, scope: _Scope) -> Code:
@@ -494,49 +407,13 @@ def _compile_call(expr: A.Call, scope: _Scope) -> Code:
             values = [arg(env) for arg in args]
             return Interp.apply(target, values, {key: value(env) for key, value in kwargs})
         return call_kw
-    if not args:
-        return lambda env: _call(fn(env), [])
-    if len(args) == 1:
-        arg0 = args[0]
-
-        def call1(env: Env) -> Any:
-            # _call, inlined for the commonest shapes.
-            target = fn(env)
-            values = [arg0(env)]
-            kind = type(target)
-            if kind is BuiltinFunction:
-                return target.fn(*values)
-            if kind is Closure and len(target.params) == 1:
-                return target.code(target.env, values)
-            return _call(target, values)
-        return call1
-    if len(args) == 2:
-        arg0, arg1 = args
-
-        def call2(env: Env) -> Any:
-            target = fn(env)
-            values = [arg0(env), arg1(env)]
-            kind = type(target)
-            if kind is BuiltinFunction:
-                return target.fn(*values)
-            if kind is Closure and len(target.params) == 2:
-                return target.code(target.env, values)
-            return _call(target, values)
-        return call2
     return lambda env: _call(fn(env), [arg(env) for arg in args])
 
 
 def _compile_unop(expr: A.UnOp, scope: _Scope) -> Code:
     operand = _compile_expr(expr.operand, scope)
     if expr.op == "!":
-        def negate(env: Env) -> Any:
-            value = operand(env)
-            if value is True:
-                return False
-            if value is not False:
-                truthy(value)               # raises: conditions are booleans
-            return True
-        return negate
+        return lambda env: not truthy(operand(env))
     if expr.op == "-":
         def minus(env: Env) -> Any:
             value = operand(env)
@@ -557,25 +434,9 @@ def _compile_binop(expr: A.BinOp, scope: _Scope) -> Code:
     left = _compile_expr(expr.left, scope)
     right = _compile_expr(expr.right, scope)
     if op == "&&":
-        def both(env: Env) -> Any:
-            flag = left(env)
-            if flag is False:
-                return False
-            if flag is not True:
-                truthy(flag)                # raises: conditions are booleans
-            flag = right(env)
-            return flag if flag is True or flag is False else truthy(flag)
-        return both
+        return lambda env: truthy(left(env)) and truthy(right(env))
     if op == "||":
-        def either(env: Env) -> Any:
-            flag = left(env)
-            if flag is True:
-                return True
-            if flag is not False:
-                truthy(flag)                # raises: conditions are booleans
-            flag = right(env)
-            return flag if flag is True or flag is False else truthy(flag)
-        return either
+        return lambda env: truthy(left(env)) or truthy(right(env))
     if op == "==":
         return lambda env: left(env) == right(env)
     if op == "!=":

@@ -26,14 +26,10 @@ class Parser:
     # -- token plumbing -----------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        # ``pos`` never passes the final EOF token (see advance), so only
-        # a lookahead can run off the end.
-        if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def at(self, ttype: T, value: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         return tok.type is ttype and (value is None or tok.value == value)
 
     def at_keyword(self, word: str) -> bool:

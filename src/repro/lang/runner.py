@@ -88,7 +88,7 @@ class ShillRuntime:
         self.engine = engine
         self.proc = kernel.spawn_process(user, cwd)
         self.sys = kernel.syscalls(self.proc)
-        self.interp = Interp(self)
+        self.interp = Interp()
         self.scripts: dict[str, str] = dict(scripts or {})
         self.loader = ModuleLoader(self)
         self._base_builtins = make_base_builtins(self)

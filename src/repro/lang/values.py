@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
-    from repro.lang.ast_ import Block
     from repro.lang.env import Env
 
 
@@ -65,13 +64,12 @@ class Closure:
     checked against ``params``) in a frame below the captured ``env`` and
     runs the body there."""
 
-    __slots__ = ("name", "params", "body", "env", "code")
+    __slots__ = ("name", "params", "env", "code")
 
-    def __init__(self, name: str, params: list[str], body: "Block", env: "Env",
+    def __init__(self, name: str, params: list[str], env: "Env",
                  code: "Callable[[Env, Sequence[Any]], Any]") -> None:
         self.name = name
         self.params = params
-        self.body = body
         self.env = env
         self.code = code
 
@@ -107,10 +105,10 @@ class BuiltinFunction:
 def truthy(value: Any) -> bool:
     """SHILL truth: booleans only — other types in conditions are errors,
     except that this helper is also used by `&&`/`||` shortcuts."""
-    from repro.errors import ShillRuntimeError
-
     if isinstance(value, bool):
         return value
+    from repro.errors import ShillRuntimeError
+
     raise ShillRuntimeError(f"condition must be a boolean, got {value!r}")
 
 
